@@ -273,7 +273,10 @@ impl CompiledRecording {
 
 /// Upper bound on batched-replay width: each extra lane clones the
 /// device's memory image, so the bound keeps a hostile `RUN_BATCH` from
-/// driving unbounded allocation inside the TA.
+/// driving unbounded allocation inside the TA. The bound caps virtual
+/// reservation (each lane reserves the full carveout size); a lane's
+/// physical cost is only the pages touched since the last reset, the
+/// only ones a clone copies.
 pub const MAX_BATCH: usize = 64;
 
 /// A rejected batch geometry (see [`CompiledRecording::batch_plan`]).
@@ -307,11 +310,13 @@ impl std::error::Error for BatchPlanError {}
 /// per-lane copies of [`BatchPlan::input`], one op-arena pass, `batch`
 /// output regions committed from per-lane copies of [`BatchPlan::output`].
 ///
-/// Lane 0 is the device's primary memory; lanes `1..batch` are full memory
+/// Lane 0 is the device's primary memory; lanes `1..batch` are memory
 /// images cloned after reset/wipe/weight/input restore with the input slot
 /// overwritten, so each lane starts byte-identical to the memory a scalar
 /// replay of that input would see — the basis for the bitwise-equality
-/// oracle against sequential replays.
+/// oracle against sequential replays. A lane spans the whole carveout,
+/// but cloning it copies only the touched pages (weights, input, page
+/// tables, descriptors); the rest stays lazily zeroed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPlan {
     /// Number of inputs served by the single arena pass (≥ 1).

@@ -384,7 +384,7 @@ impl Replayer {
             }
         }
 
-        // Read the output, then scrub hardware state (§3.2).
+        // Read the output, then scrub hardware state and memory (§3.2).
         let raw = self
             .device_mem
             .borrow()
@@ -622,13 +622,15 @@ impl Replayer {
     /// the batch-resident operand traffic across the batch.
     ///
     /// Lane 0 runs on the device's primary memory exactly as
-    /// [`Replayer::replay_compiled`] would; each extra input gets a full
-    /// memory lane cloned after restore with only the input slot rewritten,
-    /// so every lane's bytes evolve exactly as a scalar replay of that
-    /// input — batched outputs are bitwise identical to sequential ones,
-    /// property-tested across the zoo. With a single input this *is* the
-    /// scalar path: no lanes are attached and the emitted receipt is
-    /// byte-identical to [`Replayer::replay_compiled`]'s.
+    /// [`Replayer::replay_compiled`] would; each extra input gets a memory
+    /// lane cloned after restore with only the input slot rewritten, so
+    /// every lane's bytes evolve exactly as a scalar replay of that input
+    /// — batched outputs are bitwise identical to sequential ones,
+    /// property-tested across the zoo. A lane clone costs O(touched
+    /// pages), not O(carveout): see `Memory`'s `Clone`. With a single
+    /// input this *is* the scalar path: no lanes are attached and the
+    /// emitted receipt is byte-identical to
+    /// [`Replayer::replay_compiled`]'s.
     ///
     /// One [`ReplayReceipt`] covers the batch: its input digest commits to
     /// the per-lane input-digest vector via
@@ -685,10 +687,10 @@ impl Replayer {
             mem.restore_range(compiled.input.pa, &bytes);
         }
         // Lane images: clone the restored primary, then overwrite the
-        // input slot. The clone covers the whole address space — page
-        // tables, descriptors, weight pages — so lane b starts
-        // byte-identical to what `replay_compiled(inputs[b], ...)` would
-        // stage.
+        // input slot. The clone is byte-identical over the whole address
+        // space — page tables, descriptors, weight pages — so lane b
+        // starts exactly as `replay_compiled(inputs[b], ...)` would
+        // stage, yet it copies only the pages touched since the wipe.
         for input in &inputs[1..] {
             let mut lane = self.device_mem.borrow().clone();
             lane.restore_range(plan.input.pa, self.upload.stage(input));
@@ -856,9 +858,15 @@ impl Replayer {
         Ok(())
     }
 
+    /// Scrubs the device after a replay, successful or not (§3.2): no
+    /// input, weight or activation byte outlives the call that staged it.
+    /// Replays wipe at the start too, since other code (a record session)
+    /// may have written the memory in between; both wipes cost O(touched
+    /// pages).
     fn cleanup(&mut self) {
         self.device_gpu.borrow_mut().take_fusion_plan();
         self.device_gpu.borrow_mut().hard_reset_now();
+        self.device_mem.borrow_mut().wipe();
         self.tzasc
             .release(crate::client::GPU_MMIO_BASE, crate::client::GPU_MMIO_LEN);
     }
@@ -975,7 +983,7 @@ impl LayeredReplay<'_> {
         Ok(layer_index)
     }
 
-    /// Reads the output and scrubs hardware state.
+    /// Reads the output and scrubs hardware state and device memory.
     ///
     /// Valid once [`LayeredReplay::replay_layer`] has returned `None` (or
     /// earlier, for apps that only need a prefix of the network).

@@ -358,8 +358,10 @@ impl Gpu {
     /// Attaches batch lanes for a batched replay. Each lane must be a full
     /// memory image whose control state matches the primary memory (in
     /// practice: a clone of the primary taken after reset/wipe/weight/input
-    /// restore, with the input slot overwritten by that lane's input).
-    /// Lanes stay attached until [`Gpu::take_batch_lanes`].
+    /// restore, with the input slot overwritten by that lane's input; the
+    /// clone copies only touched pages, so a lane costs what the replay
+    /// wrote, not the carveout size). Lanes stay attached until
+    /// [`Gpu::take_batch_lanes`].
     pub fn set_batch_lanes(&mut self, lanes: Vec<Rc<RefCell<Memory>>>) {
         self.batch_lanes = lanes;
     }

@@ -82,7 +82,6 @@ impl std::error::Error for MemFault {}
 /// mem.write_u32(0x100, 0xDEADBEEF, Accessor::Cpu).unwrap();
 /// assert_eq!(mem.read_u32(0x100, Accessor::Gpu).unwrap(), 0xDEADBEEF);
 /// ```
-#[derive(Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
     flags: Vec<PageFlags>,
@@ -102,6 +101,51 @@ pub struct Memory {
     /// [`Memory::clear_dirty`] on that page. Lets the memsync layer skip
     /// dumping and comparing regions nothing wrote to.
     dirty: Vec<u64>,
+    /// One bit per page, set by any mutation since the last
+    /// [`Memory::wipe`]. Unlike `dirty`, [`Memory::clear_dirty`] leaves it
+    /// alone: it is the reset extent, not a memsync hint. Invariant: every
+    /// byte outside a touched page is zero ([`Memory::new`] and `wipe`
+    /// establish it, every mutator maintains it through `mark_dirty`), so
+    /// wiping and cloning only have to visit touched pages.
+    touched: Vec<u64>,
+}
+
+impl Clone for Memory {
+    /// Clones in O(touched pages): the copy starts as a fresh lazily
+    /// zeroed buffer and receives only the touched pages, which by the
+    /// zero-outside-touched invariant is byte-identical to a full copy.
+    /// Flags, dirty and touched bits, and the CPU-write log are copied
+    /// whole (they are a few KiB even for the full carveout).
+    fn clone(&self) -> Self {
+        let mut bytes = vec![0; self.bytes.len()];
+        for page in touched_pages(&self.touched) {
+            let range = page * PAGE_SIZE..(page + 1) * PAGE_SIZE;
+            bytes[range.clone()].copy_from_slice(&self.bytes[range]);
+        }
+        Memory {
+            bytes,
+            flags: self.flags.clone(),
+            cpu_writes: self.cpu_writes.clone(),
+            cpu_writes_overflowed: self.cpu_writes_overflowed,
+            dirty: self.dirty.clone(),
+            touched: self.touched.clone(),
+        }
+    }
+}
+
+/// The indices of the pages set in a `touched` bitmap, ascending.
+fn touched_pages(touched: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    touched.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some(w * 64 + bit)
+        })
+    })
 }
 
 impl fmt::Debug for Memory {
@@ -123,6 +167,7 @@ impl Memory {
             cpu_writes: Vec::new(),
             cpu_writes_overflowed: false,
             dirty: vec![0; pages.div_ceil(64)],
+            touched: vec![0; pages.div_ceil(64)],
         }
     }
 
@@ -163,7 +208,9 @@ impl Memory {
         (std::mem::take(&mut self.cpu_writes), overflowed)
     }
 
-    /// Marks the pages overlapping `[start, end)` (byte offsets) dirty.
+    /// Marks the pages overlapping `[start, end)` (byte offsets) dirty and
+    /// touched. Every byte mutation goes through here, which is what keeps
+    /// the zero-outside-touched invariant.
     fn mark_dirty(&mut self, start: usize, end: usize) {
         if end <= start {
             return;
@@ -172,6 +219,7 @@ impl Memory {
         let last = ((end - 1) / PAGE_SIZE).min(self.flags.len().saturating_sub(1));
         for page in first..=last {
             self.dirty[page / 64] |= 1u64 << (page % 64);
+            self.touched[page / 64] |= 1u64 << (page % 64);
         }
     }
 
@@ -422,10 +470,18 @@ impl Memory {
 
     /// Zeroes all bytes and clears all trap flags (GPU reset / TEE cleanup).
     ///
+    /// Costs O(touched pages), not O(size): only pages written since the
+    /// previous wipe can hold a nonzero byte (the zero-outside-touched
+    /// invariant), so only those are zeroed. The result is the same as
+    /// zeroing the whole buffer.
+    ///
     /// Every page is marked dirty: the wipe changed (or may have changed)
     /// its contents relative to any baseline taken before it.
     pub fn wipe(&mut self) {
-        self.bytes.fill(0);
+        for page in touched_pages(&self.touched) {
+            self.bytes[page * PAGE_SIZE..(page + 1) * PAGE_SIZE].fill(0);
+        }
+        self.touched.fill(0);
         self.flags.fill(PageFlags::default());
         self.dirty.fill(u64::MAX);
         self.cpu_writes.clear();
@@ -738,5 +794,221 @@ mod tests {
         m.wipe();
         assert_eq!(m.read_u32(0, Accessor::Cpu).unwrap(), 0);
         assert_eq!(m.page_flags(0), PageFlags::default());
+    }
+
+    /// Reset must be driven by the touched bits, never by the memsync
+    /// dirty bits: a page whose dirty bit was cleared still holds data.
+    #[test]
+    fn wipe_zeroes_pages_whose_dirty_bit_was_cleared() {
+        let mut m = Memory::new(4 * PAGE_SIZE);
+        m.write_u32(2 * PAGE_SIZE as u64 + 12, 0xA5A5_A5A5, Accessor::Cpu)
+            .unwrap();
+        m.clear_dirty(0, 4 * PAGE_SIZE);
+        m.wipe();
+        assert_eq!(m.dump_range(0, 4 * PAGE_SIZE), vec![0; 4 * PAGE_SIZE]);
+        // And the same through a clone taken after the clear.
+        m.write_u32(3 * PAGE_SIZE as u64, 7, Accessor::Gpu).unwrap();
+        m.clear_dirty(0, 4 * PAGE_SIZE);
+        let mut c = m.clone();
+        assert_eq!(c.read_u32(3 * PAGE_SIZE as u64, Accessor::Cpu).unwrap(), 7);
+        c.wipe();
+        assert_eq!(c.dump_range(0, 4 * PAGE_SIZE), vec![0; 4 * PAGE_SIZE]);
+    }
+
+    const MODEL_PAGES: usize = 12;
+
+    /// Whole-buffer reference model of a [`Memory`]: every operation is a
+    /// plain slice operation and reset is a full fill, with no page
+    /// bookkeeping to get wrong.
+    struct Model {
+        bytes: Vec<u8>,
+        flags: Vec<PageFlags>,
+        dirty: Vec<bool>,
+    }
+
+    impl Model {
+        fn new() -> Self {
+            Model {
+                bytes: vec![0; MODEL_PAGES * PAGE_SIZE],
+                flags: vec![PageFlags::default(); MODEL_PAGES],
+                dirty: vec![false; MODEL_PAGES],
+            }
+        }
+
+        fn dirty_range(&mut self, start: usize, end: usize) {
+            if end > start {
+                for d in &mut self.dirty[start / PAGE_SIZE..=(end - 1) / PAGE_SIZE] {
+                    *d = true;
+                }
+            }
+        }
+    }
+
+    fn dirty_bits(m: &Memory) -> Vec<bool> {
+        (0..m.num_pages())
+            .map(|p| m.any_dirty((p * PAGE_SIZE) as u64, PAGE_SIZE))
+            .collect()
+    }
+
+    fn flags_of(m: &Memory) -> Vec<PageFlags> {
+        (0..m.num_pages())
+            .map(|p| m.page_flags((p * PAGE_SIZE) as u64))
+            .collect()
+    }
+
+    /// A whole-buffer wipe: the oracle for the touched-page one.
+    fn full_wipe(m: &mut Memory) {
+        m.bytes.fill(0);
+        m.flags.fill(PageFlags::default());
+        m.dirty.fill(u64::MAX);
+        m.cpu_writes.clear();
+        m.cpu_writes_overflowed = true;
+    }
+
+    fn assert_same(a: &Memory, b: &Memory, what: &str) {
+        assert!(a.bytes == b.bytes, "{what}: bytes differ");
+        assert_eq!(flags_of(a), flags_of(b), "{what}: flags differ");
+        assert_eq!(dirty_bits(a), dirty_bits(b), "{what}: dirty bits differ");
+        assert_eq!(a.touched, b.touched, "{what}: touched bits differ");
+        assert_eq!(a.cpu_writes, b.cpu_writes, "{what}: CPU-write logs differ");
+        assert_eq!(
+            a.cpu_writes_overflowed, b.cpu_writes_overflowed,
+            "{what}: CPU-write overflow flags differ"
+        );
+    }
+
+    fn assert_zero_outside_touched(m: &Memory) {
+        for p in 0..m.num_pages() {
+            if m.touched[p / 64] & (1u64 << (p % 64)) == 0 {
+                assert!(
+                    m.bytes[p * PAGE_SIZE..(p + 1) * PAGE_SIZE]
+                        .iter()
+                        .all(|&b| b == 0),
+                    "untouched page {p} holds a nonzero byte"
+                );
+            }
+        }
+    }
+
+    /// Seeded random operation sequences against the whole-buffer model:
+    /// bytes, flags and dirty bits track the model after every step, the
+    /// zero-outside-touched invariant holds throughout, `wipe()` equals a
+    /// fresh memory put through a full wipe, and `clone()` equals its
+    /// source (the sequence sometimes continues on the clone, so a
+    /// clone's own touched set is exercised by later wipes).
+    #[test]
+    fn random_sequences_match_whole_buffer_model() {
+        let size = MODEL_PAGES * PAGE_SIZE;
+        for seed in 0..24u64 {
+            let mut rng = grt_sim::Rng::new(seed);
+            let mut m = Memory::new(size);
+            let mut model = Model::new();
+            for step in 0..300 {
+                let pa = rng.gen_range(size as u64 + 64);
+                let len = match rng.gen_range(3) {
+                    0 => rng.gen_range(16) as usize,
+                    1 => rng.gen_range(PAGE_SIZE as u64) as usize,
+                    _ => rng.gen_range(3 * PAGE_SIZE as u64) as usize,
+                };
+                let accessor = if rng.chance(0.5) {
+                    Accessor::Cpu
+                } else {
+                    Accessor::Gpu
+                };
+                let mut data = vec![0u8; len];
+                rng.fill_bytes(&mut data);
+                let start = pa as usize;
+                match rng.gen_range(11) {
+                    0 | 1 => {
+                        if m.write(pa, &data, accessor).is_ok() {
+                            model.bytes[start..start + len].copy_from_slice(&data);
+                            model.dirty_range(start, start + len);
+                        }
+                    }
+                    2 => {
+                        let vals: Vec<f32> = (0..len / 4)
+                            .map(|_| f32::from_bits(rng.next_u32()))
+                            .collect();
+                        if m.write_bulk(pa, &vals, accessor).is_ok() {
+                            for (i, v) in vals.iter().enumerate() {
+                                model.bytes[start + 4 * i..start + 4 * i + 4]
+                                    .copy_from_slice(&v.to_le_bytes());
+                            }
+                            model.dirty_range(start, start + 4 * vals.len());
+                        }
+                    }
+                    3 => {
+                        let dst = rng.gen_range(size as u64) as usize;
+                        if m.copy_within(pa, dst as u64, len, accessor).is_ok() {
+                            model.bytes.copy_within(start..start + len, dst);
+                            model.dirty_range(dst, dst + len);
+                        }
+                    }
+                    4 => {
+                        m.restore_range(pa, &data);
+                        let s = start.min(size);
+                        let e = s.saturating_add(len).min(size);
+                        model.bytes[s..e].copy_from_slice(&data[..e - s]);
+                        model.dirty_range(s, e);
+                    }
+                    5 => {
+                        m.xor_range(pa, &data);
+                        let s = start.min(size);
+                        let e = s.saturating_add(len).min(size);
+                        for (b, x) in model.bytes[s..e].iter_mut().zip(&data) {
+                            *b ^= x;
+                        }
+                        model.dirty_range(s, e);
+                    }
+                    6 => {
+                        let flags = PageFlags {
+                            cpu_unmapped: rng.chance(0.3),
+                            gpu_unmapped: rng.chance(0.3),
+                        };
+                        m.set_page_flags(pa, len, flags);
+                        if len > 0 {
+                            let first = (start / PAGE_SIZE).min(MODEL_PAGES);
+                            let last = ((start + len - 1) / PAGE_SIZE + 1).min(MODEL_PAGES);
+                            model.flags[first..last].fill(flags);
+                        }
+                    }
+                    7 => {
+                        m.clear_dirty(pa, len);
+                        let s = start.min(size);
+                        let e = s.saturating_add(len).min(size);
+                        if e > s {
+                            model.dirty[s / PAGE_SIZE..=(e - 1) / PAGE_SIZE].fill(false);
+                        }
+                    }
+                    8 => {
+                        let _ = m.take_cpu_writes();
+                    }
+                    9 => {
+                        let c = m.clone();
+                        assert_same(&c, &m, &format!("seed {seed} step {step}: clone"));
+                        if rng.chance(0.5) {
+                            m = c;
+                        }
+                    }
+                    _ => {
+                        m.wipe();
+                        let mut fresh = Memory::new(size);
+                        full_wipe(&mut fresh);
+                        assert_same(&m, &fresh, &format!("seed {seed} step {step}: wipe"));
+                        assert_eq!(m.take_cpu_writes(), fresh.take_cpu_writes());
+                        model.bytes.fill(0);
+                        model.flags.fill(PageFlags::default());
+                        model.dirty.fill(true);
+                    }
+                }
+                assert!(
+                    m.bytes == model.bytes,
+                    "seed {seed} step {step}: bytes diverge from the model"
+                );
+                assert_eq!(flags_of(&m), model.flags, "seed {seed} step {step}");
+                assert_eq!(dirty_bits(&m), model.dirty, "seed {seed} step {step}");
+                assert_zero_outside_touched(&m);
+            }
+        }
     }
 }

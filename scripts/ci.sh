@@ -25,6 +25,12 @@ cargo test -q
 echo "==> workspace unit tests: cargo test -q --workspace --lib"
 cargo test -q --workspace --lib
 
+# Host benchmark self-tests (perfbench/, its own package): a Memory or
+# replay change that breaks the bench's receipt or output checks fails
+# here rather than in a benchmark run.
+echo "==> host benchmark self-tests: cargo test --manifest-path perfbench/Cargo.toml"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> doc build: RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

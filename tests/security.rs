@@ -206,3 +206,132 @@ fn recordings_are_not_transferable_across_sessions() {
     crossed.bytes[40] ^= 0xFF;
     assert!(crossed.verify_and_parse(&k1).is_none());
 }
+
+/// Panics unless the client's whole device memory is zero.
+fn assert_scrubbed(s: &RecordSession, after: &str) {
+    let mem = s.client.mem.borrow();
+    let size = mem.size();
+    let bytes = mem.dump_range(0, size);
+    if bytes != vec![0u8; size] {
+        let at = bytes.iter().position(|&b| b != 0).unwrap_or_default();
+        panic!("device memory not scrubbed after {after}: nonzero byte at {at:#x}");
+    }
+}
+
+fn f32_bytes(v: &[f32]) -> Vec<u8> {
+    v.iter().flat_map(|x| x.to_le_bytes()).collect()
+}
+
+/// Whether `needle` occurs anywhere in `hay`. A needle shorter than a
+/// page with a nonzero byte lies within two adjacent pages, one of them
+/// nonzero, so only runs of nonzero pages widened by a page each side
+/// are searched — a byte-by-byte window scan of the whole carveout is
+/// too slow for a debug build.
+fn occurs(hay: &[u8], needle: &[u8]) -> bool {
+    const PAGE: usize = grt_gpu::PAGE_SIZE;
+    assert!(needle.len() <= PAGE && needle.iter().any(|&b| b != 0));
+    let pages = hay.len() / PAGE;
+    let nonzero: Vec<bool> = hay.chunks_exact(PAGE).map(|p| p != [0u8; PAGE]).collect();
+    let mut p = 0;
+    while p < pages {
+        if !nonzero[p] {
+            p += 1;
+            continue;
+        }
+        let mut end = p;
+        while end < pages && nonzero[end] {
+            end += 1;
+        }
+        let run = &hay[p.saturating_sub(1) * PAGE..(end + 1).min(pages) * PAGE];
+        if run.windows(needle.len()).any(|w| w == needle) {
+            return true;
+        }
+        p = end;
+    }
+    false
+}
+
+/// §3.2 / §7.1 confidentiality: the TEE scrubs device memory when a
+/// replay returns, so inference N's input, weights and activations are
+/// not readable after it — on every replay path, and on a replay that
+/// fails after staging. Once the next replay has started, memory holds
+/// that replay's input and not the previous one's.
+#[test]
+fn no_inference_residue_in_device_memory() {
+    use grt_core::recording::{Event, Recording, SignedRecording};
+    let spec = grt_ml::zoo::mnist();
+    let mut s = session();
+    let out = s.record(&spec).expect("record");
+    let key = s.recording_key();
+    let weights = workload_weights(&spec);
+    let mut r = Replayer::new(&s.client, std::rc::Rc::new(grt_lint::Linter::new()));
+    let compiled = r.compile_signed(&out.recording, &key).expect("compile");
+
+    r.replay_compiled(&compiled, &test_input(&spec, 1), &weights)
+        .expect("compiled replay");
+    assert_scrubbed(&s, "replay_compiled");
+
+    let batch: Vec<Vec<f32>> = (2..6).map(|v| test_input(&spec, v)).collect();
+    r.replay_compiled_batch(&compiled, &batch, &weights)
+        .expect("batched replay");
+    assert_scrubbed(&s, "replay_compiled_batch with B=4");
+
+    r.replay(&out.recording, &key, &test_input(&spec, 6), &weights)
+        .expect("interpreted replay");
+    assert_scrubbed(&s, "replay");
+
+    let mut layered = r
+        .begin_layered(&out.recording, &key, &test_input(&spec, 7), &weights)
+        .expect("begin layered");
+    while layered.replay_layer().expect("layer").is_some() {}
+    layered.finish();
+    assert_scrubbed(&s, "begin_layered + finish");
+
+    // Residue across replays: inference N's input and output are gone
+    // once replay N+1 has staged its own input (which is present — the
+    // search is live). The output region is only rewritten at the end of
+    // the network, so it is what a missing scrub would leave behind.
+    let secret_in = f32_bytes(&test_input(&spec, 8));
+    let next = f32_bytes(&test_input(&spec, 9));
+    let (secret_out, _) = r
+        .replay_compiled(&compiled, &test_input(&spec, 8), &weights)
+        .expect("compiled replay");
+    let secret_out = f32_bytes(&secret_out);
+    let mut layered = r
+        .begin_layered(&out.recording, &key, &test_input(&spec, 9), &weights)
+        .expect("begin layered");
+    let no_residue = |after: &str| {
+        let mem = s.client.mem.borrow();
+        let all = mem.dump_range(0, mem.size());
+        assert!(occurs(&all, &next), "the staged input must be found");
+        assert!(
+            !occurs(&all, &secret_in),
+            "previous input readable after {after}"
+        );
+        assert!(
+            !occurs(&all, &secret_out),
+            "previous output readable after {after}"
+        );
+    };
+    no_residue("staging");
+    layered.replay_layer().expect("first layer");
+    no_residue("the first layer");
+    layered.finish();
+    assert_scrubbed(&s, "a partial layered replay");
+
+    // A replay that fails after staging: strip the job-start writes so the
+    // recorded WaitIrq can never fire (it would not pass lint, hence the
+    // permissive gate).
+    let mut rec: Recording = out.recording.verify_and_parse(&key).expect("parse");
+    let js_command =
+        grt_gpu::regs::job_control::slot_base(0) + grt_gpu::regs::job_control::JS_COMMAND;
+    rec.events
+        .retain(|e| !matches!(e, Event::RegWrite { offset, .. } if *offset == js_command));
+    let hung = SignedRecording::sign(&rec, &key);
+    let mut permissive = Replayer::new(&s.client, std::rc::Rc::new(grt_core::gate::PermissiveGate));
+    let err = permissive
+        .replay(&hung, &key, &test_input(&spec, 10), &weights)
+        .unwrap_err();
+    assert_eq!(err, grt_core::replay::ReplayError::IrqHang);
+    assert_scrubbed(&s, "a replay that failed after staging");
+}
